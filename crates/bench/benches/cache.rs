@@ -1,5 +1,8 @@
 //! Criterion benchmarks for the synchronization-caching data structures:
 //! LRU vertex cache operations and the lazy-uploading global queues.
+//!
+//! The cache arms address vertex `v` by local id `v` (a dense id space of
+//! 20,000 slots).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gxplug_core::{GlobalSyncQueues, VertexCache};
@@ -20,7 +23,7 @@ fn bench_cache_operations(c: &mut Criterion) {
                 if cache.lookup(v, now).is_some() {
                     hits += 1;
                 } else {
-                    cache.fill(v, v as f64, now);
+                    cache.fill(v, v, v as f64, now);
                 }
             }
             black_box(hits)
@@ -32,7 +35,7 @@ fn bench_cache_operations(c: &mut Criterion) {
         b.iter(|| {
             let mut cache: VertexCache<f64> = VertexCache::new(16_384);
             for v in 0..10_000u32 {
-                cache.record_update(v, v as f64 * 0.5, 1);
+                cache.record_update(v, v, v as f64 * 0.5, 1);
             }
             black_box(cache.answer_query(&queried).len())
         })

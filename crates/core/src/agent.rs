@@ -34,7 +34,7 @@ use crate::daemon::{execute_share, Daemon};
 use crate::metrics::AgentStats;
 use crate::pipeline::block_size::PipelineCoefficients;
 use crate::runtime::RuntimeError;
-use crate::sync_cache::VertexCache;
+use crate::sync_cache::{Probe, VertexCache};
 use gxplug_accel::SimDuration;
 use gxplug_engine::cluster::NodeComputeOutput;
 use gxplug_engine::node::NodeState;
@@ -73,8 +73,9 @@ struct PlanScratch {
     active_edge_ids: Vec<usize>,
     /// Dedup bitset for the download working set, over dense local ids.
     needed_marks: FrontierSet,
-    /// The iteration's download working set, in deterministic probe order.
-    needed_vertices: Vec<VertexId>,
+    /// The iteration's download working set as `(global, local)` ids, in
+    /// deterministic probe order.
+    needed_vertices: Vec<(VertexId, u32)>,
 }
 
 /// What executing one daemon's share produced, together with the planning
@@ -154,6 +155,11 @@ pub(crate) struct AgentCore<V> {
     config: MiddlewareConfig,
     profile: RuntimeProfile,
     cache: Option<VertexCache<V>>,
+    /// The cache's LRU clock: one tick per non-idle iteration, monotone over
+    /// the agent's whole life.  The per-run iteration number would restart
+    /// at 0 on every run and rank a new run's entries older than the previous
+    /// run's leftovers.
+    clock: u64,
     edges_registered: bool,
     stats: AgentStats,
     plan: PlanScratch,
@@ -179,6 +185,7 @@ where
             config,
             profile,
             cache,
+            clock: 0,
             edges_registered: false,
             stats: AgentStats::default(),
             plan: PlanScratch::default(),
@@ -227,7 +234,6 @@ where
     pub(crate) fn begin_iteration<E>(
         &mut self,
         node: &mut NodeState<V, E>,
-        iteration: usize,
     ) -> Option<IterationPlan> {
         node.active_edge_ids_into(&mut self.plan.active_edge_ids);
         let d = self.plan.active_edge_ids.len();
@@ -235,6 +241,8 @@ where
             return None;
         }
         self.stats.iterations += 1;
+        let now = self.clock;
+        self.clock += 1;
 
         // Dedup the download working set through a dense bitset over the
         // node's local ids — no hashing on the hot path.
@@ -243,13 +251,13 @@ where
         needed_marks.clear();
         let needed_vertices = &mut self.plan.needed_vertices;
         needed_vertices.clear();
+        let table = node.vertex_table();
         for &edge_id in &self.plan.active_edge_ids {
             if let Some((src, dst)) = node.edge_endpoint_locals(edge_id) {
-                if needed_marks.insert(src) {
-                    needed_vertices.push(node.vertex_table().global_of(src));
-                }
-                if needed_marks.insert(dst) {
-                    needed_vertices.push(node.vertex_table().global_of(dst));
+                for local in [src, dst] {
+                    if needed_marks.insert(local) {
+                        needed_vertices.push((table.global_of(local), local));
+                    }
                 }
             }
         }
@@ -259,25 +267,19 @@ where
         // The order is scrambled by a fixed mix (not ascending) because a
         // strict sequential scan is the LRU worst case — it would evict every
         // entry just before re-probing it.
-        needed_vertices.sort_unstable_by_key(|&v| (gxplug_ipc::key::splitmix64(v as u64), v));
+        needed_vertices.sort_unstable_by_key(|&(v, _)| (gxplug_ipc::key::splitmix64(v as u64), v));
         let needed_count = needed_vertices.len();
         let vertex_downloads = match &mut self.cache {
             Some(cache) => {
                 let mut misses = 0usize;
-                for &v in needed_vertices.iter() {
-                    let current = match node.vertex_value(v) {
-                        Some(value) => value,
-                        None => continue,
-                    };
-                    // A hit only counts if the cached copy is still identical
-                    // to the upper system's value; stale entries must be
-                    // re-downloaded.
-                    let fresh = cache
-                        .lookup(v, iteration as u64)
-                        .map(|cached| &cached == current)
-                        .unwrap_or(false);
-                    if !fresh {
-                        cache.fill(v, current.clone(), iteration as u64);
+                for &(v, local) in needed_vertices.iter() {
+                    // A hit only avoids the download if the cached copy is
+                    // still identical to the upper system's value; stale
+                    // entries are re-downloaded.  The agent never records
+                    // updates, so no victim is dirty.
+                    let current = &table.row_at(local).attr;
+                    if let Probe::Filled(forced) = cache.probe(local, v, current, now) {
+                        debug_assert!(forced.is_none(), "the agent caches no dirty entries");
                         misses += 1;
                     }
                 }
@@ -577,7 +579,7 @@ where
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
-        let plan = match self.core.begin_iteration(node, iteration) {
+        let plan = match self.core.begin_iteration(node) {
             Some(plan) => plan,
             None => return Ok(NodeComputeOutput::idle()),
         };
@@ -814,6 +816,34 @@ mod tests {
         assert!(cached.stats().downloads_avoided > 0);
         assert_eq!(uncached.stats().downloads_avoided, 0);
         assert!(cached.stats().downloaded_entities < uncached.stats().downloaded_entities);
+    }
+
+    #[test]
+    fn a_new_run_does_not_evict_its_own_entries_before_stale_leftovers() {
+        // Capacity 8 of the node's 64 vertices.
+        let mut agent = agent(MiddlewareConfig::default().with_cache_capacity_fraction(0.125));
+        agent.connect();
+        let mut node = test_node();
+        let mut superstep = |node: &mut NodeState<f64, f64>, source: VertexId, iteration| {
+            node.set_active([source]);
+            agent.process_iteration(node, &Relax, iteration).unwrap();
+        };
+        // First run: vertex 0 and its targets 1 and 7, used until iteration 3.
+        for iteration in 0..4 {
+            superstep(&mut node, 0, iteration);
+        }
+        // Second run on the same agent: the iteration number restarts at 0.
+        superstep(&mut node, 20, 0);
+        superstep(&mut node, 40, 1);
+        let cache = agent.core.cache.as_ref().unwrap();
+        let cached = |v: VertexId| cache.contains(node.vertex_table().local_of(v).unwrap());
+        assert_eq!(cache.stats().evictions, 1);
+        // The one eviction must take a leftover of the first run, not an
+        // entry the second run probed one iteration earlier.
+        for v in [20, 21, 27, 40, 41, 47] {
+            assert!(cached(v), "vertex {v} of the current run was evicted");
+        }
+        assert_eq!([0, 1, 7].into_iter().filter(|&v| cached(v)).count(), 2);
     }
 
     #[test]

@@ -97,4 +97,4 @@ pub use service::{
 pub use session::{
     system_label, RunOutcome, RunOverrides, Session, SessionBuilder, SessionError, SessionSpec,
 };
-pub use sync_cache::{CacheStats, GlobalSyncQueues, VertexCache};
+pub use sync_cache::{CacheStats, GlobalSyncQueues, Probe, VertexCache};

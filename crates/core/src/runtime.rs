@@ -384,7 +384,7 @@ where
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
-        let plan = match self.core.begin_iteration(node, iteration) {
+        let plan = match self.core.begin_iteration(node) {
             Some(plan) => plan,
             None => return Ok(NodeComputeOutput::idle()),
         };

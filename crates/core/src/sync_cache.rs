@@ -9,10 +9,28 @@
 //! * **Lazy uploading** — updated vertices are uploaded only when some other
 //!   distributed node actually asks for them, coordinated through a *global
 //!   query queue* and a *global data queue* (Algorithm 3).
+//!
+//! [`VertexCache`] is addressed by the node's dense local ids (the row
+//! indices of its `VertexTable`): entries live in a `Vec` of slots that grows
+//! on demand, since live mutation appends local ids.  Recency lives in an
+//! ordered set keyed `(last_used, global id, local id)`, so the LRU victim —
+//! least recently used, ties broken by the smaller *global* id — is its first
+//! element.  Local ids follow insertion order, not global order, which is why
+//! the global id stays in the key.  Per-operation cost, with `n` cached
+//! entries and `s` slots:
+//!
+//! * [`probe`](VertexCache::probe), [`lookup`](VertexCache::lookup),
+//!   [`fill`](VertexCache::fill), [`record_update`](VertexCache::record_update)
+//!   and [`invalidate`](VertexCache::invalidate): O(log n), and O(1) for a
+//!   hit on an entry already used at the same `now`;
+//! * [`contains`](VertexCache::contains) and [`len`](VertexCache::len): O(1);
+//! * [`answer_query`](VertexCache::answer_query),
+//!   [`dirty_count`](VertexCache::dirty_count) and
+//!   [`flush_dirty`](VertexCache::flush_dirty): O(s).
 
 use gxplug_graph::types::VertexId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Statistics of one agent's cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,20 +61,56 @@ impl CacheStats {
 
 #[derive(Debug, Clone)]
 struct CacheEntry<V> {
+    /// Global vertex id: the victim-order tie-break and the upload key.
+    id: VertexId,
     value: V,
-    /// Iteration of last use; entries age as iterations pass and the least
+    /// Clock tick of last use; entries age as ticks pass and the least
     /// recently used entry is evicted first.
     last_used: u64,
     /// Whether the entry was updated locally and not yet uploaded.
     dirty: bool,
 }
 
-/// The agent-local vertex cache.
+/// A recency key: `(last_used, global id, local id)`.
+type RecencyKey = (u64, VertexId, u32);
+
+/// What [`VertexCache::probe`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Probe<V> {
+    /// The cached copy equals the current value: the download is avoided.
+    Fresh,
+    /// The vertex was absent or stale and now caches the current value.
+    /// Carries the dirty entry evicted to make room, if any, which must be
+    /// uploaded now.
+    Filled(Option<(VertexId, V)>),
+}
+
+/// The agent-local vertex cache, addressed by dense local id.
+///
+/// Every method that may create an entry takes both the local id and the
+/// global id of the vertex; the two must name the same vertex for the
+/// lifetime of the cache, as a node's `VertexTable` guarantees.
 #[derive(Debug, Clone)]
 pub struct VertexCache<V> {
     capacity: usize,
-    entries: HashMap<VertexId, CacheEntry<V>>,
+    slots: Vec<Option<CacheEntry<V>>>,
+    /// One key per cached entry; the first is the LRU victim.
+    recency: BTreeSet<RecencyKey>,
     stats: CacheStats,
+}
+
+/// The cached entry in slot `local`, if any.
+fn slot<V>(slots: &mut [Option<CacheEntry<V>>], local: u32) -> Option<&mut CacheEntry<V>> {
+    slots.get_mut(local as usize)?.as_mut()
+}
+
+/// Moves a cached entry to `now` in the recency order.
+fn touch<V>(recency: &mut BTreeSet<RecencyKey>, entry: &mut CacheEntry<V>, local: u32, now: u64) {
+    if entry.last_used != now {
+        recency.remove(&(entry.last_used, entry.id, local));
+        recency.insert((now, entry.id, local));
+        entry.last_used = now;
+    }
 }
 
 impl<V: Clone> VertexCache<V> {
@@ -64,19 +118,20 @@ impl<V: Clone> VertexCache<V> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            entries: HashMap::with_capacity(capacity.min(1 << 20)),
+            slots: Vec::with_capacity(capacity.min(1 << 20)),
+            recency: BTreeSet::new(),
             stats: CacheStats::default(),
         }
     }
 
     /// Number of cached vertices.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.recency.len()
     }
 
     /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.recency.is_empty()
     }
 
     /// The configured capacity.
@@ -89,124 +144,158 @@ impl<V: Clone> VertexCache<V> {
         self.stats
     }
 
-    /// Looks up a vertex for computation at iteration `now`.
+    /// Looks up a vertex for computation at tick `now`.
     ///
     /// A hit refreshes the entry's recency (its "weight" in the paper's
     /// terms); a miss means the agent must download the vertex from the upper
     /// system and then [`VertexCache::fill`] it.
-    pub fn lookup(&mut self, v: VertexId, now: u64) -> Option<V> {
-        match self.entries.get_mut(&v) {
+    pub fn lookup(&mut self, local: u32, now: u64) -> Option<&V> {
+        let Some(entry) = slot(&mut self.slots, local) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        touch(&mut self.recency, entry, local, now);
+        Some(&entry.value)
+    }
+
+    /// The agent's download probe: [`lookup`](VertexCache::lookup), compare
+    /// with the upper system's `current` value, and [`fill`](VertexCache::fill)
+    /// unless the cached copy is identical — in one call, without cloning on
+    /// a fresh hit.  A stale entry counts as a hit (it was found) and is
+    /// refreshed in place with `dirty = false`, exactly like a fill.
+    pub fn probe(&mut self, local: u32, id: VertexId, current: &V, now: u64) -> Probe<V>
+    where
+        V: PartialEq,
+    {
+        match slot(&mut self.slots, local) {
             Some(entry) => {
-                entry.last_used = now;
                 self.stats.hits += 1;
-                Some(entry.value.clone())
+                if entry.value == *current {
+                    touch(&mut self.recency, entry, local, now);
+                    return Probe::Fresh;
+                }
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            None => self.stats.misses += 1,
         }
+        Probe::Filled(self.fill(local, id, current.clone(), now))
     }
 
     /// Returns `true` if the vertex is cached, without touching recency or
     /// statistics.
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.entries.contains_key(&v)
+    pub fn contains(&self, local: u32) -> bool {
+        self.slots.get(local as usize).is_some_and(Option::is_some)
     }
 
     /// Inserts a vertex freshly downloaded from the upper system.
     ///
-    /// Returns the dirty entries that had to be evicted (and therefore must be
+    /// Returns the dirty entry that had to be evicted, if any (it must be
     /// uploaded to the upper system now, as the paper prescribes: "If the
     /// chosen vertices were updated in previous iterations, corresponding
-    /// information will be uploaded").
-    pub fn fill(&mut self, v: VertexId, value: V, now: u64) -> Vec<(VertexId, V)> {
-        let mut forced_uploads = Vec::new();
-        if !self.entries.contains_key(&v) && self.entries.len() >= self.capacity {
-            if let Some((victim, entry)) = self.evict_lru() {
-                if entry.dirty {
-                    self.stats.uploads += 1;
-                    forced_uploads.push((victim, entry.value));
-                }
-            }
-        }
-        self.entries.insert(
-            v,
-            CacheEntry {
-                value,
-                last_used: now,
-                dirty: false,
-            },
-        );
-        forced_uploads
+    /// information will be uploaded").  Filling a cached vertex replaces its
+    /// value and clears its dirty flag without evicting anything.
+    pub fn fill(&mut self, local: u32, id: VertexId, value: V, now: u64) -> Option<(VertexId, V)> {
+        let Some(entry) = slot(&mut self.slots, local) else {
+            return self.insert(local, id, value, now);
+        };
+        debug_assert_eq!(entry.id, id, "local id {local} names another vertex");
+        entry.value = value;
+        entry.dirty = false;
+        touch(&mut self.recency, entry, local, now);
+        None
     }
 
     /// Records a locally computed update: the new value enters the cache,
-    /// marked dirty, with refreshed recency.  Returns forced uploads exactly
+    /// marked dirty, with refreshed recency.  Returns a forced upload exactly
     /// like [`VertexCache::fill`].
-    pub fn record_update(&mut self, v: VertexId, value: V, now: u64) -> Vec<(VertexId, V)> {
-        let forced = if self.entries.contains_key(&v) {
-            Vec::new()
-        } else {
-            self.fill(v, value.clone(), now)
-        };
-        if let Some(entry) = self.entries.get_mut(&v) {
-            entry.value = value;
+    pub fn record_update(
+        &mut self,
+        local: u32,
+        id: VertexId,
+        value: V,
+        now: u64,
+    ) -> Option<(VertexId, V)> {
+        let forced = self.fill(local, id, value, now);
+        if let Some(entry) = slot(&mut self.slots, local) {
             entry.dirty = true;
-            entry.last_used = now;
-            self.stats.lazy_deferrals += 1;
         }
+        self.stats.lazy_deferrals += 1;
         forced
     }
 
     /// Drops a cached vertex (e.g. because another node updated it, so the
     /// cached copy is stale).
-    pub fn invalidate(&mut self, v: VertexId) {
-        self.entries.remove(&v);
+    pub fn invalidate(&mut self, local: u32) {
+        if let Some(entry) = self.slots.get_mut(local as usize).and_then(Option::take) {
+            self.recency.remove(&(entry.last_used, entry.id, local));
+        }
     }
 
     /// Answers a global query: returns (and marks uploaded) the dirty entries
     /// among `queried`, which is exactly what lazy uploading pushes to the
     /// global data queue (Algorithm 3, line 4-5).
     pub fn answer_query(&mut self, queried: &HashSet<VertexId>) -> Vec<(VertexId, V)> {
-        let mut answers = Vec::new();
-        for (&v, entry) in self.entries.iter_mut() {
-            if entry.dirty && queried.contains(&v) {
-                entry.dirty = false;
-                answers.push((v, entry.value.clone()));
-            }
-        }
-        self.stats.uploads += answers.len() as u64;
-        answers
+        self.take_dirty(|id| queried.contains(&id))
     }
 
     /// Number of entries currently dirty (deferred uploads outstanding).
     pub fn dirty_count(&self) -> usize {
-        self.entries.values().filter(|e| e.dirty).count()
+        self.slots.iter().flatten().filter(|e| e.dirty).count()
     }
 
     /// Flushes every dirty entry (used at the end of a run so the upper
     /// system ends up with the final values).
     pub fn flush_dirty(&mut self) -> Vec<(VertexId, V)> {
-        let mut flushed = Vec::new();
-        for (&v, entry) in self.entries.iter_mut() {
-            if entry.dirty {
-                entry.dirty = false;
-                flushed.push((v, entry.value.clone()));
-            }
-        }
-        self.stats.uploads += flushed.len() as u64;
-        flushed
+        self.take_dirty(|_| true)
     }
 
-    fn evict_lru(&mut self) -> Option<(VertexId, CacheEntry<V>)> {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(&v, entry)| (entry.last_used, v))
-            .map(|(&v, _)| v)?;
+    /// Marks the dirty entries selected by `wanted` uploaded and returns
+    /// them, in local-id order.
+    fn take_dirty(&mut self, wanted: impl Fn(VertexId) -> bool) -> Vec<(VertexId, V)> {
+        let mut taken = Vec::new();
+        for entry in self.slots.iter_mut().flatten() {
+            if entry.dirty && wanted(entry.id) {
+                entry.dirty = false;
+                taken.push((entry.id, entry.value.clone()));
+            }
+        }
+        self.stats.uploads += taken.len() as u64;
+        taken
+    }
+
+    /// Caches an absent vertex, evicting the LRU entry first when full.
+    fn insert(&mut self, local: u32, id: VertexId, value: V, now: u64) -> Option<(VertexId, V)> {
+        let forced = if self.len() >= self.capacity {
+            self.evict_lru()
+        } else {
+            None
+        };
+        let index = local as usize;
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, || None);
+        }
+        self.slots[index] = Some(CacheEntry {
+            id,
+            value,
+            last_used: now,
+            dirty: false,
+        });
+        self.recency.insert((now, id, local));
+        forced
+    }
+
+    /// Evicts the LRU entry, returning it when it was dirty.
+    fn evict_lru(&mut self) -> Option<(VertexId, V)> {
+        let (_, id, local) = self.recency.pop_first()?;
         self.stats.evictions += 1;
-        self.entries.remove(&victim).map(|entry| (victim, entry))
+        let entry = self.slots[local as usize]
+            .take()
+            .expect("every recency key names a cached slot");
+        if !entry.dirty {
+            return None;
+        }
+        self.stats.uploads += 1;
+        Some((id, entry.value))
     }
 }
 
@@ -274,8 +363,8 @@ mod tests {
     fn lookups_hit_after_fill_and_miss_before() {
         let mut cache = VertexCache::new(8);
         assert_eq!(cache.lookup(3, 0), None);
-        cache.fill(3, 1.5f64, 0);
-        assert_eq!(cache.lookup(3, 1), Some(1.5));
+        cache.fill(3, 3, 1.5f64, 0);
+        assert_eq!(cache.lookup(3, 1), Some(&1.5));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -285,11 +374,11 @@ mod tests {
     #[test]
     fn lru_eviction_prefers_least_recently_used() {
         let mut cache = VertexCache::new(2);
-        cache.fill(1, 10, 0);
-        cache.fill(2, 20, 1);
+        cache.fill(1, 1, 10, 0);
+        cache.fill(2, 2, 20, 1);
         // Touch vertex 1 so vertex 2 becomes the LRU entry.
         cache.lookup(1, 2);
-        cache.fill(3, 30, 3);
+        cache.fill(3, 3, 30, 3);
         assert!(cache.contains(1));
         assert!(!cache.contains(2));
         assert!(cache.contains(3));
@@ -297,12 +386,52 @@ mod tests {
     }
 
     #[test]
+    fn recency_ties_evict_the_smaller_global_id_whatever_the_local_order() {
+        // Local ids follow insertion order: global 9 sits in slot 0, global 4
+        // in slot 1.  Both were last used at tick 0, so the tie goes to the
+        // smaller *global* id.
+        let mut cache = VertexCache::new(2);
+        cache.fill(0, 9, 90, 0);
+        cache.fill(1, 4, 40, 0);
+        cache.fill(2, 6, 60, 1);
+        assert!(cache.contains(0));
+        assert!(!cache.contains(1));
+        assert!(cache.contains(2));
+    }
+
+    #[test]
+    fn probe_folds_lookup_compare_and_fill() {
+        let mut cache = VertexCache::new(1);
+        assert_eq!(cache.probe(0, 10, &1.0, 0), Probe::Filled(None));
+        assert_eq!(cache.probe(0, 10, &1.0, 1), Probe::Fresh);
+        // A stale copy counts as a hit and is refreshed in place.
+        assert_eq!(cache.probe(0, 10, &2.0, 2), Probe::Filled(None));
+        assert_eq!(cache.lookup(0, 3), Some(&2.0));
+        // A dirty victim surfaces as a forced upload.
+        cache.record_update(0, 10, 3.0, 4);
+        assert_eq!(cache.probe(5, 11, &7.0, 5), Probe::Filled(Some((10, 3.0))));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (3, 2, 1));
+        assert_eq!(stats.uploads, 1);
+    }
+
+    #[test]
+    fn slots_grow_on_demand() {
+        let mut cache = VertexCache::new(4);
+        cache.fill(1_000, 7, 70, 0);
+        assert!(cache.contains(1_000));
+        assert!(!cache.contains(999));
+        assert!(!cache.contains(5_000));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn evicting_a_dirty_entry_forces_an_upload() {
         let mut cache = VertexCache::new(1);
-        cache.record_update(7, 70, 0);
+        cache.record_update(7, 7, 70, 0);
         assert_eq!(cache.dirty_count(), 1);
-        let forced = cache.fill(8, 80, 1);
-        assert_eq!(forced, vec![(7, 70)]);
+        let forced = cache.fill(8, 8, 80, 1);
+        assert_eq!(forced, Some((7, 70)));
         assert_eq!(cache.stats().uploads, 1);
         assert_eq!(cache.dirty_count(), 0);
     }
@@ -310,9 +439,9 @@ mod tests {
     #[test]
     fn lazy_upload_only_answers_queried_vertices() {
         let mut cache = VertexCache::new(8);
-        cache.record_update(1, 100, 0);
-        cache.record_update(2, 200, 0);
-        cache.record_update(3, 300, 0);
+        cache.record_update(1, 1, 100, 0);
+        cache.record_update(2, 2, 200, 0);
+        cache.record_update(3, 3, 300, 0);
         let queried: HashSet<VertexId> = [2, 3].into_iter().collect();
         let mut answers = cache.answer_query(&queried);
         answers.sort_unstable_by_key(|(v, _)| *v);
@@ -326,10 +455,11 @@ mod tests {
     #[test]
     fn invalidation_causes_the_next_lookup_to_miss() {
         let mut cache = VertexCache::new(4);
-        cache.fill(5, 50, 0);
+        cache.fill(5, 5, 50, 0);
         assert!(cache.lookup(5, 1).is_some());
         cache.invalidate(5);
         assert!(cache.lookup(5, 2).is_none());
+        assert!(cache.is_empty());
     }
 
     #[test]

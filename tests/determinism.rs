@@ -862,3 +862,55 @@ fn fused_jobs_are_bit_identical_to_fresh_serial_sessions() {
         }
     }
 }
+
+/// The sync cache's counters of one first PageRank-20 run, pinned per node
+/// as `(hits, misses, evictions, uploads)`.
+///
+/// The model proptest in `crates/core/src/sync_cache.rs` proves the cache
+/// answers every operation like the reference `HashMap` + full-scan LRU; this
+/// pins the whole system — probe order, victim order, capacity sizing and
+/// the agent's probe accounting — to the values that reference produced.
+#[test]
+fn first_run_sync_cache_counters_are_pinned() {
+    const GOLDEN: [(u64, u64, u64, u64); 3] = [
+        (2014, 5746, 5513, 0),
+        (2071, 6189, 5943, 0),
+        (2014, 6366, 6117, 0),
+    ];
+    let list = Rmat::new(10, 8.0).generate(61);
+    let default = RankValue {
+        rank: 1.0,
+        out_degree: 0,
+    };
+    let graph = PropertyGraph::from_edge_list(list, default).unwrap();
+    let parts = GOLDEN.len();
+    let partitioning = GreedyVertexCutPartitioner::default()
+        .partition(&graph, parts)
+        .unwrap();
+    for mode in [ExecutionMode::Serial, ExecutionMode::Threaded] {
+        let outcome = SessionBuilder::new(&graph)
+            .partitioned_by(partitioning.clone())
+            .profile(RuntimeProfile::powergraph())
+            .devices(mixed_devices(parts))
+            .config(MiddlewareConfig::default().with_execution(mode))
+            .dataset("rmat")
+            .max_iterations(100)
+            .build()
+            .unwrap()
+            .run(&PageRank::new(20))
+            .unwrap();
+        let counters: Vec<(u64, u64, u64, u64)> = outcome
+            .agent_stats
+            .iter()
+            .map(|s| {
+                (
+                    s.cache.hits,
+                    s.cache.misses,
+                    s.cache.evictions,
+                    s.cache.uploads,
+                )
+            })
+            .collect();
+        assert_eq!(counters, GOLDEN, "{mode:?}");
+    }
+}

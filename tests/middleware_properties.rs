@@ -180,7 +180,7 @@ proptest! {
             if *is_update {
                 let value = step as u64;
                 expected.insert(*vertex, value);
-                for (v, val) in cache.record_update(*vertex, value, now) {
+                if let Some((v, val)) = cache.record_update(*vertex, *vertex, value, now) {
                     surfaced.insert(v, val);
                 }
             } else {
