@@ -749,6 +749,20 @@ impl<V> JobTicket<V> {
         }
     }
 
+    /// Registers `hook` to run exactly once when the ticket resolves, so
+    /// [`JobTicket::try_result`] would no longer report `None` — on every
+    /// path: a finished run, a cache hit (at once, the ticket is born
+    /// resolved), a coalesced duplicate or fusion peer, a cancelled queued
+    /// job, a panicking job, or a worker lost without resolving.
+    ///
+    /// The hook runs on the resolving thread (usually a scheduler worker),
+    /// never under the ticket's lock, so it should only signal: a serving
+    /// session sends a wake-up onto its event queue and does the real work
+    /// there.  Dropping the ticket first drops the hook unrun.
+    pub fn on_resolve(&self, hook: impl FnOnce() + Send + 'static) {
+        self.reply.on_ready(Box::new(hook));
+    }
+
     /// Non-blocking poll: `None` while the job is queued or running,
     /// `Some(result)` once it resolved.  The result is delivered once;
     /// polling again afterwards yields `Some(Err(ServiceError::Lost))`.
@@ -3337,6 +3351,80 @@ mod tests {
         assert_eq!(stats.cache_hits, 0);
         // The coalesced run filled the cache once.
         assert_eq!(service.cached_results(), 1);
+    }
+
+    #[test]
+    fn on_resolve_fires_once_on_every_resolution_path() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 16, AdmissionPolicy::Block);
+        let (fired_tx, fired) = std::sync::mpsc::channel::<&'static str>();
+        let hook = |tag: &'static str| {
+            let fired_tx = fired_tx.clone();
+            move || fired_tx.send(tag).unwrap()
+        };
+        let gate = GateControl::default();
+        let busy = service
+            .submit(GatedSssp {
+                inner: Sssp { sources: vec![7] },
+                gate: gate.clone(),
+            })
+            .unwrap();
+        busy.on_resolve(hook("run"));
+        while busy.status() == JobStatus::Queued {
+            thread::yield_now();
+        }
+        // Behind the gated run: a job cancelled while queued, three keyed
+        // duplicates that coalesce into one run, and a job that panics.
+        let doomed = service.submit(Sssp { sources: vec![1] }).unwrap();
+        assert!(doomed.cancel());
+        doomed.on_resolve(hook("cancel"));
+        let duplicates: Vec<_> = (0..3)
+            .map(|_| service.submit(KeyedSssp::new(vec![0])).unwrap())
+            .collect();
+        for ticket in &duplicates {
+            ticket.on_resolve(hook("duplicate"));
+        }
+        let panicking = service.submit(PanickingJob).unwrap();
+        panicking.on_resolve(hook("panic"));
+        assert_eq!(fired.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty));
+
+        gate.release();
+        let mut seen: Vec<&str> = (0..6)
+            .map(|_| fired.recv_timeout(Duration::from_secs(30)).unwrap())
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            [
+                "cancel",
+                "duplicate",
+                "duplicate",
+                "duplicate",
+                "panic",
+                "run"
+            ]
+        );
+
+        // A cache hit is born resolved: its hook runs during registration.
+        let hit = service.submit(KeyedSssp::new(vec![0])).unwrap();
+        hit.on_resolve(hook("hit"));
+        assert_eq!(fired.try_recv(), Ok("hit"));
+
+        // The paths were really taken (counted once the workers are joined:
+        // a hook may run before its outcome is counted), every hook ran
+        // once, and each ticket resolved the way its hook claimed.
+        service.shutdown();
+        let stats = service.stats();
+        assert_eq!((stats.coalesced_jobs, stats.cache_hits), (2, 1));
+        assert_eq!((stats.cancelled, stats.panicked), (1, 1));
+        assert!(fired.try_recv().is_err());
+        assert!(busy.wait().is_ok());
+        assert!(matches!(doomed.wait(), Err(ServiceError::Cancelled)));
+        for ticket in duplicates {
+            assert!(ticket.wait().is_ok());
+        }
+        assert!(matches!(panicking.wait(), Err(ServiceError::JobPanicked)));
+        assert!(hit.wait().is_ok());
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!   polling a queue handle errors identically;
 //! * dropping either endpoint is observed by the other: an unfired dropped
 //!   sender turns every receive into [`QueueRecvError::Disconnected`], and a
-//!   dropped receiver makes [`OneshotSender::send`] hand the value back.
+//!   dropped receiver makes [`OneshotSender::send`] hand the value back;
+//! * [`OneshotReceiver::on_ready`] registers a completion hook that runs
+//!   once the slot can no longer block — so a thread that multiplexes many
+//!   slots (a streaming server session) parks on one event queue and is
+//!   woken by the slot itself instead of polling each receiver.
 //!
 //! Like the queue, values need not be `'static` and the primitive never
 //! spins.
@@ -26,11 +30,25 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+/// A completion hook registered through [`OneshotReceiver::on_ready`].
+type Hook = Box<dyn FnOnce() + Send>;
+
 /// Interior state of a oneshot slot.
 struct SlotState<T> {
     value: Option<T>,
     sender_alive: bool,
     receiver_alive: bool,
+    /// Hooks waiting for the slot to stop blocking, run in registration
+    /// order.  Always run (or dropped) after the state lock is released.
+    hooks: Vec<Hook>,
+}
+
+impl<T> SlotState<T> {
+    /// `true` once a receive cannot block: the value is ready or the sender
+    /// is gone.
+    fn settled(&self) -> bool {
+        self.value.is_some() || !self.sender_alive
+    }
 }
 
 struct Shared<T> {
@@ -69,6 +87,7 @@ pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
             value: None,
             sender_alive: true,
             receiver_alive: true,
+            hooks: Vec::new(),
         }),
         ready: Condvar::new(),
     });
@@ -95,6 +114,7 @@ pub fn resolved<T>(value: T) -> OneshotReceiver<T> {
                 value: Some(value),
                 sender_alive: false,
                 receiver_alive: true,
+                hooks: Vec::new(),
             }),
             ready: Condvar::new(),
         }),
@@ -112,11 +132,13 @@ impl<T> OneshotSender<T> {
         }
         state.value = Some(value);
         state.sender_alive = false;
+        let hooks = std::mem::take(&mut state.hooks);
         drop(state);
         // At most one thread ever waits on a ticket's slot, but notify_all
         // keeps the primitive safe if a receiver is cloned-by-move between
         // threads in the future.
         shared.ready.notify_all();
+        run_hooks(hooks);
         Ok(())
     }
 
@@ -133,8 +155,13 @@ impl<T> OneshotSender<T> {
 impl<T> Drop for OneshotSender<T> {
     fn drop(&mut self) {
         if let Some(shared) = self.shared.take() {
-            shared.lock().sender_alive = false;
+            let hooks = {
+                let mut state = shared.lock();
+                state.sender_alive = false;
+                std::mem::take(&mut state.hooks)
+            };
             shared.ready.notify_all();
+            run_hooks(hooks);
         }
     }
 }
@@ -226,8 +253,34 @@ impl<T> OneshotReceiver<T> {
     /// Returns `true` once a receive cannot block: the value is ready or the
     /// sender is gone.
     pub fn is_ready(&self) -> bool {
-        let state = self.shared.lock();
-        state.value.is_some() || !state.sender_alive
+        self.shared.lock().settled()
+    }
+
+    /// Registers `hook` to run exactly once, as soon as a receive can no
+    /// longer block: when the sender fires, when it is dropped unfired, or
+    /// right here if that already happened (a [`resolved`] slot included).
+    ///
+    /// The hook never runs under the slot's lock, so it may touch the slot
+    /// again.  It runs on whichever thread resolves the slot — typically a
+    /// worker — so it should be cheap: a queue send that wakes the thread
+    /// doing the real work.  Several hooks may be registered; each runs
+    /// once.  A hook still pending when the receiver is dropped is dropped
+    /// without running.
+    pub fn on_ready(&self, hook: Box<dyn FnOnce() + Send>) {
+        let mut state = self.shared.lock();
+        if state.settled() {
+            drop(state);
+            hook();
+        } else {
+            state.hooks.push(hook);
+        }
+    }
+}
+
+/// Runs completion hooks taken out of a slot (after its lock is released).
+fn run_hooks(hooks: Vec<Hook>) {
+    for hook in hooks {
+        hook();
     }
 }
 
@@ -239,7 +292,7 @@ impl<T> Drop for OneshotReceiver<T> {
         let orphaned = {
             let mut state = self.shared.lock();
             state.receiver_alive = false;
-            state.value.take()
+            (state.value.take(), std::mem::take(&mut state.hooks))
         };
         drop(orphaned);
     }
@@ -258,6 +311,7 @@ impl<T> fmt::Debug for OneshotReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     #[test]
@@ -340,6 +394,97 @@ mod tests {
         assert_eq!(rx.try_recv(), Err(QueueRecvError::Disconnected));
         let rx = resolved("cached");
         assert_eq!(rx.recv(), Ok("cached"));
+    }
+
+    /// A hook that counts its runs.
+    fn counting_hook(count: &Arc<AtomicUsize>) -> Box<dyn FnOnce() + Send> {
+        let count = Arc::clone(count);
+        Box::new(move || {
+            count.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    #[test]
+    fn hook_runs_once_on_send() {
+        let (tx, rx) = oneshot();
+        let count = Arc::new(AtomicUsize::new(0));
+        rx.on_ready(counting_hook(&count));
+        rx.on_ready(counting_hook(&count));
+        assert_eq!(count.load(Ordering::SeqCst), 0, "nothing fired yet");
+        tx.send(1u8).unwrap();
+        assert_eq!(count.load(Ordering::SeqCst), 2, "each hook runs once");
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(count.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn hook_runs_once_when_the_sender_is_dropped_unfired() {
+        let (tx, rx) = oneshot::<u8>();
+        let count = Arc::new(AtomicUsize::new(0));
+        rx.on_ready(counting_hook(&count));
+        let dropper = thread::spawn(move || drop(tx));
+        dropper.join().unwrap();
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert_eq!(rx.try_recv(), Err(QueueRecvError::Disconnected));
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn hook_registered_after_the_fire_runs_at_once() {
+        let count = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = oneshot();
+        tx.send(2u8).unwrap();
+        rx.on_ready(counting_hook(&count));
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        // Still ready once the value is taken: a receive cannot block.
+        assert_eq!(rx.try_recv(), Ok(2));
+        rx.on_ready(counting_hook(&count));
+        assert_eq!(count.load(Ordering::SeqCst), 2);
+
+        let cached = resolved(3u8);
+        cached.on_ready(counting_hook(&count));
+        assert_eq!(count.load(Ordering::SeqCst), 3);
+        assert_eq!(cached.recv(), Ok(3));
+    }
+
+    #[test]
+    fn hook_runs_outside_the_slot_lock() {
+        // The hook re-enters the slot it was registered on; running it under
+        // the lock would deadlock here (std's Mutex is not re-entrant).
+        let (tx, rx) = oneshot();
+        let rx = Arc::new(rx);
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(&rx);
+        rx.on_ready(Box::new(move || {
+            let _ = seen_tx.send((inner.is_ready(), inner.try_recv()));
+        }));
+        thread::spawn(move || tx.send(9u32).unwrap())
+            .join()
+            .unwrap();
+        assert_eq!(
+            seen_rx.recv_timeout(Duration::from_secs(5)),
+            Ok((true, Ok(9)))
+        );
+
+        // Same for a hook that runs at registration time.
+        let rx = Arc::new(resolved(4u32));
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(&rx);
+        rx.on_ready(Box::new(move || {
+            let _ = seen_tx.send(inner.try_recv());
+        }));
+        assert_eq!(seen_rx.recv_timeout(Duration::from_secs(5)), Ok(Ok(4)));
+    }
+
+    #[test]
+    fn hook_is_dropped_unrun_with_the_receiver() {
+        let (tx, rx) = oneshot();
+        let count = Arc::new(AtomicUsize::new(0));
+        rx.on_ready(counting_hook(&count));
+        drop(rx);
+        assert_eq!(Arc::strong_count(&count), 1, "the hook was released");
+        assert_eq!(tx.send(5u8), Err(QueueSendError(5)));
+        assert_eq!(count.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -9,6 +9,23 @@
 //! the same thread-per-conversation shape the middleware's daemons use, so
 //! no async runtime is needed.
 //!
+//! A WebSocket session is event-driven.  After the upgrade a reader thread
+//! owns the socket's read half and blocks in [`ws::read_message`] with no
+//! read timeout, so a client frame split across TCP segments is read whole;
+//! it forwards every message onto the session's event queue (one
+//! [`sync_queue`] per session) and waits for the handler to acknowledge it
+//! before reading on, so at most one client message is buffered: a client
+//! that floods the session without reading its replies stalls the handler's
+//! writes, which stalls the reader, which closes the TCP window.  Each job
+//! the session watches gets one completion hook ([`JobTicket::on_resolve`])
+//! that puts a wake-up on the same queue, so the handler — blocked on that
+//! queue — pushes a job's result as soon as the job resolves, on whichever
+//! path (run, cache hit, coalesced duplicate, cancel, panic).  Shutdown
+//! reaches a session through its queue too, so an idle session sleeps until
+//! its next heartbeat.  The handler is the session's only writer; on exit it
+//! shuts the socket down, which ends the reader's blocking read, and joins
+//! the reader.
+//!
 //! Every submission is tenant-checked *before* it reaches the service: the
 //! quota sweep runs under the job-table lock, so two racing submissions from
 //! one tenant cannot both slip under the cap, and an over-quota tenant is
@@ -27,17 +44,20 @@ use gxplug_ipc::wire::{
     self, Frame, JobResultFrame, JobSpec, JobState, ServerError, StatsFrame, WireJobOptions,
     WireMutationOp,
 };
-use gxplug_ipc::{sync_queue, QueueReceiver, QueueRecvError};
+use gxplug_ipc::{sync_queue, QueueReceiver, QueueRecvError, QueueSender};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long a handler blocks on the connection queue (and on an idle
-/// socket) before re-checking the stop flag.
+/// How long a handler blocks on the connection queue or an idle keep-alive
+/// socket before re-checking the stop flag.  It bounds how soon such a
+/// handler notices [`Server::shutdown`] and nothing else: a WebSocket
+/// session has no tick — its results and the shutdown reach it through its
+/// event queue.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Idle keep-alive budget: a connection with no request for this long is
@@ -162,6 +182,10 @@ struct Shared<V: 'static, E: 'static> {
     stop: AtomicBool,
     jobs: Mutex<JobTable<V>>,
     counters: Mutex<HashMap<String, TenantCounters>>,
+    /// The event queues of the live WebSocket sessions, by session id, so
+    /// shutdown can wake a session blocked on its queue.
+    sessions: Mutex<HashMap<u64, QueueSender<SessionEvent>>>,
+    next_session: AtomicU64,
 }
 
 /// A running serving front end.  Dropping (or [`Server::shutdown`]) stops
@@ -199,6 +223,8 @@ where
             stop: AtomicBool::new(false),
             jobs: Mutex::new(JobTable::new()),
             counters: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
+            next_session: AtomicU64::new(0),
         });
 
         let (conn_tx, conn_rx) = sync_queue::<TcpStream>();
@@ -269,6 +295,11 @@ where
 impl<V, E> Server<V, E> {
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        // A session registered after this sweep sees the flag on its first
+        // check.
+        for wake in lock(&self.shared.sessions).values() {
+            let _ = wake.send(SessionEvent::Wake);
+        }
         // The acceptor parks inside `accept()`; a throwaway connection
         // wakes it to observe the flag.
         let _ = TcpStream::connect(self.addr);
@@ -327,11 +358,14 @@ fn stats_frame(snapshot: &StatsSnapshot) -> StatsFrame {
 }
 
 /// Validates quota, submits and records the job.  Returns the job id.
+/// With `wake`, the job's resolution puts a wake-up on that WebSocket
+/// session's event queue.
 fn submit_job<V, E>(
     shared: &Shared<V, E>,
     tenant: &Tenant,
     spec: &JobSpec,
     wire_options: &WireJobOptions,
+    wake: Option<&QueueSender<SessionEvent>>,
 ) -> Result<u64, ServerError>
 where
     V: Clone + PartialEq + Send + Sync + 'static,
@@ -373,6 +407,9 @@ where
         .submit(&shared.service, options)
         .map_err(map_service_error)?;
     let id = ticket.id();
+    if let Some(wake) = wake {
+        wake_on_resolve(&ticket, wake);
+    }
     jobs.entries.insert(
         id,
         JobEntry {
@@ -528,7 +565,7 @@ where
 
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/jobs") => match parse_submission(request) {
-            Ok((spec, options)) => match submit_job(shared, &tenant, &spec, &options) {
+            Ok((spec, options)) => match submit_job(shared, &tenant, &spec, &options, None) {
                 Ok(job) => frame_response(wants_text, 202, &Frame::Accepted { job }),
                 Err(error) => error_response(wants_text, error),
             },
@@ -794,8 +831,27 @@ fn method_not_allowed(request: &Request) -> Response {
     }
 }
 
-/// The WebSocket session: handshake, then a duplex loop that accepts
-/// Submit/Cancel frames and pushes every watched job's state transitions
+/// What wakes a WebSocket session's handler.
+enum SessionEvent {
+    /// The reader thread read a client message, or the read failed (the
+    /// reader stops after an error or a Close).
+    Message(Result<WsMessage, WsError>),
+    /// A watched job resolved, or the server is stopping.
+    Wake,
+}
+
+/// Wakes the session behind `wake` when `ticket` resolves.  After the
+/// session ends the send fails and is ignored.
+fn wake_on_resolve<V>(ticket: &JobTicket<V>, wake: &QueueSender<SessionEvent>) {
+    let wake = wake.clone();
+    ticket.on_resolve(move || {
+        let _ = wake.send(SessionEvent::Wake);
+    });
+}
+
+/// The WebSocket session: handshake, then a reader thread feeding the
+/// session's event queue and this handler serving it — accepting
+/// Submit/Cancel frames and pushing every watched job's state transitions
 /// (queued → running → done/failed/cancelled) followed by its terminal
 /// Result or Error frame.
 fn serve_websocket<V, E>(
@@ -829,24 +885,72 @@ fn serve_websocket<V, E>(
          Sec-WebSocket-Accept: {}\r\n\r\n",
         ws::accept_key(key)
     );
-    if writer.write_all(handshake.as_bytes()).is_err() {
+    if writer.write_all(handshake.as_bytes()).is_err()
+        || reader.get_ref().set_read_timeout(None).is_err()
+    {
         return;
     }
 
+    let (events_tx, events) = sync_queue::<SessionEvent>();
+    let (acks, acks_rx) = sync_queue::<()>();
+    let wake = events_tx.clone();
+    let spawned = thread::Builder::new()
+        .name("gxplug-ws-reader".into())
+        .spawn(move || loop {
+            let message = ws::read_message(&mut reader);
+            let last = matches!(message, Err(_) | Ok(WsMessage::Close));
+            if events_tx.send(SessionEvent::Message(message)).is_err()
+                || last
+                || acks_rx.recv().is_err()
+            {
+                return;
+            }
+        });
+    let Ok(reader_thread) = spawned else {
+        return;
+    };
+    let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
+    lock(&shared.sessions).insert(session, wake.clone());
+    run_session(shared, &tenant, &events, &wake, &acks, &mut writer);
+    lock(&shared.sessions).remove(&session);
+    // Shutting the socket down ends the reader's blocking read; dropping
+    // the acks ends its wait for one.
+    let _ = writer.shutdown(Shutdown::Both);
+    drop(acks);
+    let _ = reader_thread.join();
+}
+
+/// The session's event loop: blocks on the event queue until a client
+/// message, a wake-up or the next heartbeat, and pushes transitions after
+/// each.  A client message is acknowledged once handled, which lets the
+/// reader read the next.  Returns when the session ends.
+fn run_session<V, E>(
+    shared: &Shared<V, E>,
+    tenant: &Tenant,
+    events: &QueueReceiver<SessionEvent>,
+    wake: &QueueSender<SessionEvent>,
+    acks: &QueueSender<()>,
+    writer: &mut TcpStream,
+) where
+    V: Clone + PartialEq + Send + Sync + 'static,
+    E: Clone + Send + Sync + 'static,
+{
     // (job id, last state the client was told about)
     let mut watched: Vec<(u64, JobState)> = Vec::new();
     let mut next_ping = Instant::now() + PING_EVERY;
 
     loop {
         if shared.stop.load(Ordering::Acquire) {
-            let _ = ws::write_close(&mut writer, 1001);
+            let _ = ws::write_close(writer, 1001);
             return;
         }
-        match ws::read_message(&mut reader) {
-            Ok(WsMessage::Binary(payload)) => {
+        let event = events.recv_deadline(next_ping);
+        let from_client = matches!(event, Ok(SessionEvent::Message(_)));
+        match event {
+            Ok(SessionEvent::Message(Ok(WsMessage::Binary(payload)))) => {
                 let reply = match wire::decode(&payload) {
                     Ok((Frame::Submit { spec, options }, _)) => {
-                        match submit_job(shared, &tenant, &spec, &options) {
+                        match submit_job(shared, tenant, &spec, &options, Some(wake)) {
                             Ok(job) => {
                                 watched.push((job, JobState::Queued));
                                 vec![
@@ -864,10 +968,17 @@ fn serve_websocket<V, E>(
                         let jobs = lock(&shared.jobs);
                         match jobs.entries.get(&job) {
                             Some(entry) if entry.tenant == tenant.name => {
-                                if let EntryState::Pending { ticket, .. } = &entry.state {
+                                let ticket = match &entry.state {
+                                    EntryState::Pending { ticket, .. } => Some(ticket),
+                                    EntryState::Done(_) => None,
+                                };
+                                if let Some(ticket) = ticket {
                                     ticket.cancel();
                                 }
                                 if !watched.iter().any(|(id, _)| *id == job) {
+                                    if let Some(ticket) = ticket {
+                                        wake_on_resolve(ticket, wake);
+                                    }
                                     watched.push((job, JobState::Queued));
                                 }
                                 Vec::new()
@@ -888,35 +999,35 @@ fn serve_websocket<V, E>(
                     }],
                 };
                 for frame in reply {
-                    if ws::write_binary(&mut writer, &wire::encode(&frame)).is_err() {
+                    if ws::write_binary(writer, &wire::encode(&frame)).is_err() {
                         return;
                     }
                 }
             }
-            Ok(WsMessage::Ping(payload)) => {
-                if ws::write_pong(&mut writer, &payload).is_err() {
+            Ok(SessionEvent::Message(Ok(WsMessage::Ping(payload)))) => {
+                if ws::write_pong(writer, &payload).is_err() {
                     return;
                 }
             }
-            Ok(WsMessage::Pong(_)) => {}
-            Ok(WsMessage::Close) => {
-                let _ = ws::write_close(&mut writer, 1000);
+            Ok(SessionEvent::Message(Ok(WsMessage::Pong(_))))
+            | Ok(SessionEvent::Wake)
+            | Err(QueueRecvError::Timeout) => {}
+            Ok(SessionEvent::Message(Ok(WsMessage::Close))) => {
+                let _ = ws::write_close(writer, 1000);
                 return;
             }
-            Err(WsError::Io(error))
-                if matches!(
-                    error.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => return,
+            Ok(SessionEvent::Message(Err(_))) | Err(_) => return,
         }
 
-        if push_transitions(shared, &tenant, &mut watched, &mut writer).is_err() {
+        if push_transitions(shared, tenant, &mut watched, writer).is_err() {
             return;
+        }
+        if from_client {
+            let _ = acks.send(());
         }
 
         if Instant::now() >= next_ping {
-            if ws::write_ping(&mut writer, b"hb").is_err() {
+            if ws::write_ping(writer, b"hb").is_err() {
                 return;
             }
             next_ping = Instant::now() + PING_EVERY;

@@ -128,8 +128,7 @@ pub enum WsMessage {
 /// Why reading a client frame failed.
 #[derive(Debug)]
 pub enum WsError {
-    /// The transport failed or timed out (timeouts surface as
-    /// `WouldBlock`/`TimedOut` io errors for the caller to poll on).
+    /// The transport failed or the peer hung up.
     Io(io::Error),
     /// The peer violated the protocol; the connection must close.
     Protocol(&'static str),
@@ -190,20 +189,22 @@ pub fn read_message(reader: &mut impl Read) -> Result<WsMessage, WsError> {
     }
 }
 
+/// Frames `payload` and sends head and payload in one write, so a frame
+/// leaves a `TCP_NODELAY` socket as one segment rather than two.
 fn write_frame(writer: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    let mut head = Vec::with_capacity(10);
-    head.push(0x80 | opcode); // FIN, server frames are never fragmented
+    let mut frame = Vec::with_capacity(10 + payload.len());
+    frame.push(0x80 | opcode); // FIN, server frames are never fragmented
     if payload.len() < 126 {
-        head.push(payload.len() as u8);
+        frame.push(payload.len() as u8);
     } else if payload.len() <= u16::MAX as usize {
-        head.push(126);
-        head.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+        frame.push(126);
+        frame.extend_from_slice(&(payload.len() as u16).to_be_bytes());
     } else {
-        head.push(127);
-        head.extend_from_slice(&(payload.len() as u64).to_be_bytes());
+        frame.push(127);
+        frame.extend_from_slice(&(payload.len() as u64).to_be_bytes());
     }
-    writer.write_all(&head)?;
-    writer.write_all(payload)?;
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -348,5 +349,31 @@ mod tests {
         let mut out = Vec::new();
         write_pong(&mut out, b"hb-1").unwrap();
         assert_eq!(&out[..2], &[0x8A, 0x04]);
+    }
+
+    #[test]
+    fn a_server_frame_is_one_write() {
+        /// Records every `write` call separately.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for len in [0, 125, 126, 300, 70_000] {
+            let payload = vec![0x5A; len];
+            let mut writes = Writes::default();
+            write_binary(&mut writes, &payload).unwrap();
+            assert_eq!(writes.0.len(), 1, "{len}-byte payload took several writes");
+            let mut joined = Vec::new();
+            write_binary(&mut joined, &payload).unwrap();
+            assert_eq!(writes.0[0], joined);
+            assert!(joined.ends_with(&payload));
+        }
     }
 }

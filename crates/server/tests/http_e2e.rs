@@ -15,12 +15,22 @@ use gxplug_server::{
     metrics, standard_registry, standard_service, ws, ServeRank, ServeReach, Server, ServerConfig,
     Tenant, TenantQuota, TenantRegistry,
 };
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Boots a server over the stock deployment.
 fn boot(scale: u32, seed: u64, workers: usize) -> Server<gxplug_server::ServeVertex, f64> {
+    boot_with_handlers(scale, seed, workers, 6)
+}
+
+/// [`boot`] with a given number of connection handler threads.
+fn boot_with_handlers(
+    scale: u32,
+    seed: u64,
+    workers: usize,
+    handler_threads: usize,
+) -> Server<gxplug_server::ServeVertex, f64> {
     let queue_depth = 32;
     let service = standard_service(scale, seed, workers, queue_depth);
     let tenants = TenantRegistry::new()
@@ -38,7 +48,7 @@ fn boot(scale: u32, seed: u64, workers: usize) -> Server<gxplug_server::ServeVer
         tenants,
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            handler_threads: 6,
+            handler_threads,
             queue_depth,
         },
     )
@@ -596,5 +606,226 @@ fn websocket_streams_transitions_and_bit_identical_results() {
     // Clean close.
     let close = ws::client_frame(0x8, &1000u16.to_be_bytes(), [1, 2, 3, 4]);
     stream.write_all(&close).unwrap();
+    server.shutdown();
+}
+
+/// Opens a `/v1/stream` WebSocket session as `token` and consumes the 101
+/// handshake.
+fn ws_connect(addr: SocketAddr, token: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let upgrade = format!(
+        "GET /v1/stream HTTP/1.1\r\nHost: localhost\r\n\
+         Authorization: Bearer {token}\r\n\
+         Upgrade: websocket\r\nConnection: Upgrade\r\n\
+         Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\nSec-WebSocket-Version: 13\r\n\r\n"
+    );
+    stream.write_all(upgrade.as_bytes()).unwrap();
+    let mut response = Vec::new();
+    let mut byte = [0u8; 1];
+    while !response.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("handshake bytes");
+        response.push(byte[0]);
+    }
+    assert!(response.starts_with(b"HTTP/1.1 101"));
+    stream
+}
+
+/// A masked client frame carrying a Submit.
+fn ws_submit(spec: JobSpec, options: WireJobOptions) -> Vec<u8> {
+    let submit = wire::encode(&Frame::Submit { spec, options });
+    ws::client_frame(0x2, &submit, [0x5e, 0x11, 0xa7, 0x03])
+}
+
+/// Reads pushed frames (answering pings) until the first Result or Error.
+fn ws_terminal(stream: &mut TcpStream) -> Frame {
+    loop {
+        let (opcode, payload) = read_server_frame(stream).expect("stream frame");
+        match opcode {
+            0x9 => stream
+                .write_all(&ws::client_frame(0xA, &payload, [9, 9, 9, 9]))
+                .unwrap(),
+            0x2 => {
+                let (frame, _) = wire::decode(&payload).expect("pushed frame decodes");
+                if matches!(frame, Frame::Result(_) | Frame::Error { .. }) {
+                    return frame;
+                }
+            }
+            other => panic!("unexpected opcode {other}"),
+        }
+    }
+}
+
+#[test]
+fn websocket_reads_a_client_frame_split_across_a_pause() {
+    let server = boot(8, 31, 1);
+    let mut stream = ws_connect(server.local_addr(), "tok-a");
+
+    // Half a Submit, a pause longer than two of the server's stop-flag
+    // ticks, then the rest: the server must read the frame whole.
+    let frame = ws_submit(JobSpec::new("sssp").with_ids("sources", vec![5]), bypass());
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    stream.write_all(head).unwrap();
+    std::thread::sleep(Duration::from_millis(250));
+    stream.write_all(tail).unwrap();
+
+    let Frame::Result(result) = ws_terminal(&mut stream) else {
+        panic!("the split Submit did not produce a result")
+    };
+    let direct = server
+        .service()
+        .submit_with(
+            ServeReach { sources: vec![5] },
+            JobOptions::new().with_cache(CachePolicy::Bypass),
+        )
+        .expect("direct submit")
+        .wait()
+        .expect("direct run");
+    let direct_bits: Vec<u64> = direct.values.iter().map(|v| v.dist.to_bits()).collect();
+    let socket_bits: Vec<u64> = result.values.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(direct_bits, socket_bits);
+    server.shutdown();
+}
+
+#[test]
+fn websocket_pushes_a_result_when_the_job_resolves() {
+    // A session has no timer but its 5 s heartbeat: the only thing that can
+    // wake it between client frames is a watched job's completion hook.  So
+    // results that arrive well inside the first heartbeat, with no ping seen,
+    // were pushed on resolution.  (A miss on this 64-vertex graph runs in
+    // milliseconds even in a debug build.)
+    let server = boot(6, 43, 1);
+    let mut stream = ws_connect(server.local_addr(), "tok-a");
+    let started = Instant::now();
+    for source in 0..5u32 {
+        stream
+            .write_all(&ws_submit(
+                JobSpec::new("sssp").with_ids("sources", vec![source]),
+                bypass(),
+            ))
+            .unwrap();
+        loop {
+            let (opcode, payload) = read_server_frame(&mut stream).expect("stream frame");
+            assert_eq!(opcode, 0x2, "a heartbeat fired before the results");
+            let (frame, _) = wire::decode(&payload).expect("pushed frame decodes");
+            if matches!(frame, Frame::Result(_)) {
+                break;
+            }
+            assert!(!matches!(frame, Frame::Error { .. }), "{frame:?}");
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(2500),
+        "five results took {took:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_client_flooding_without_reading_is_held_back() {
+    // The client sends 64 KiB pings and never reads the pongs.  Once the
+    // pongs fill the socket buffers the handler blocks writing, the reader
+    // stops reading, and the client's own writes stall: the server buffers
+    // about one message instead of the whole flood.  The cap is well above
+    // the loopback socket buffers, so only a server that kept reading (and
+    // queueing) reaches it.
+    const CAP: usize = 96 << 20;
+    let server = boot_with_handlers(8, 47, 1, 1);
+    let addr = server.local_addr();
+    let mut flood = ws_connect(addr, "tok-a");
+    flood
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let ping = ws::client_frame(0x9, &vec![0x42; 64 << 10], [3, 1, 4, 1]);
+    let mut sent = 0;
+    while sent < CAP && flood.write_all(&ping).is_ok() {
+        sent += ping.len();
+    }
+    assert!(
+        sent < CAP,
+        "the server read {sent} bytes from a client that never reads"
+    );
+
+    // Leaving unblocks the handler (its write fails), which then serves the
+    // next connection; one handler thread makes a wedge visible.
+    drop(flood);
+    let mut next = ws_connect(addr, "tok-a");
+    next.write_all(&ws_submit(
+        JobSpec::new("sssp").with_ids("sources", vec![3]),
+        bypass(),
+    ))
+    .unwrap();
+    assert!(matches!(ws_terminal(&mut next), Frame::Result(_)));
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_is_prompt_with_websocket_sessions_open() {
+    let server = boot(8, 37, 1);
+    let addr = server.local_addr();
+    // One idle session, one with a miss in flight.
+    let mut idle = ws_connect(addr, "tok-a");
+    let mut busy = ws_connect(addr, "tok-a");
+    busy.write_all(&ws_submit(
+        JobSpec::new("sssp").with_ids("sources", vec![2]),
+        bypass(),
+    ))
+    .unwrap();
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(800), "shutdown took {took:?}");
+
+    // The idle session was told the server is going away (1001), then the
+    // socket closed.
+    let (opcode, payload) = read_server_frame(&mut idle).expect("close frame");
+    assert_eq!((opcode, payload), (0x8, 1001u16.to_be_bytes().to_vec()));
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest).expect("socket closes");
+    assert!(rest.is_empty());
+    // The busy session's stream ends too, by close or reset, not by the
+    // client's read timeout.
+    let ended = busy.read_to_end(&mut rest);
+    assert!(
+        !matches!(&ended, Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "{ended:?}"
+    );
+}
+
+#[test]
+fn a_client_leaving_mid_job_does_not_wedge_its_handler() {
+    // One handler thread: if the abandoned session wedged it, nothing else
+    // would ever be served.
+    let server = boot_with_handlers(8, 41, 1, 1);
+    let addr = server.local_addr();
+    let mut stream = ws_connect(addr, "tok-a");
+    stream
+        .write_all(&ws_submit(
+            JobSpec::new("pagerank").with_u64("iterations", 60),
+            bypass(),
+        ))
+        .unwrap();
+    let (opcode, payload) = read_server_frame(&mut stream).expect("accepted frame");
+    assert_eq!(opcode, 0x2);
+    let Frame::Accepted { job } = wire::decode(&payload).unwrap().0 else {
+        panic!("expected Accepted")
+    };
+    drop(stream);
+
+    // The same handler serves the next connection; the job's completion
+    // hook later finds the session's queue gone and is ignored.
+    let (_, frame) = poll_until_terminal(addr, "tok-a", job);
+    assert!(matches!(frame, Frame::Result(_)), "{frame:?}");
+    let mut next = ws_connect(addr, "tok-a");
+    next.write_all(&ws_submit(
+        JobSpec::new("sssp").with_ids("sources", vec![1]),
+        bypass(),
+    ))
+    .unwrap();
+    assert!(matches!(ws_terminal(&mut next), Frame::Result(_)));
     server.shutdown();
 }
